@@ -1,8 +1,10 @@
 // Ablation: work-distribution structure (DESIGN.md design-choice index).
-// The same ping workload is pushed through the three Distributor policies:
+// The same ping workload is pushed through the three DistPolicy placements
+// of the work-stealing dispatcher (RuntimeConfig::policy):
 //   work_stealing — lock-free Chase-Lev deque (the paper's design)
-//   global_lock   — single mutex-protected FIFO
-//   per_worker    — static round-robin, no stealing (not work-conserving)
+//   global_lock   — one mutexed FIFO shard that every worker drains
+//   per_worker    — one FIFO shard per worker, round-robin placement, no
+//                   stealing (not work-conserving)
 // On a large machine the deque's scalability dominates; on this host the
 // observable effect is lock-contention overhead and, for per_worker,
 // head-of-line blocking under skewed service times.

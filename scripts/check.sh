@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# One-command CI gate: tier-1 configure + build + full ctest, the quick
-# preset, and the sanitizer-safe suites under ASan. Exits nonzero on the
-# first failure. Run from anywhere; operates on the repo root.
+# One-command CI gate: tier-1 configure + build + full ctest, the
+# benchmark's layer probe build, the quick preset, and the sanitizer-safe
+# suites under ASan and TSan. Exits nonzero on the first failure. Run from
+# anywhere; operates on the repo root.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -9,6 +10,10 @@ cd "$(dirname "$0")/.."
 echo "== tier-1: configure + build (preset: default) =="
 cmake --preset default
 cmake --build --preset default -j "$(nproc)"
+
+echo "== perfbench: configure + build pb_probe (runtime API it compiles against) =="
+cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake --build build-perfbench -j "$(nproc)" --target pb_probe
 
 echo "== tier-1: full test suite =="
 ctest --preset default -j "$(nproc)"

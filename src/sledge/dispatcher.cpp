@@ -1,18 +1,14 @@
 #include "sledge/dispatcher.hpp"
 
-#include <algorithm>
-#include <functional>
+#include <atomic>
+#include <deque>
+#include <mutex>
+#include <vector>
+
+#include "sledge/deadline_heap.hpp"
+#include "sledge/deque.hpp"
 
 namespace sledge::runtime {
-
-const char* to_string(DistPolicy p) {
-  switch (p) {
-    case DistPolicy::kWorkStealing: return "work_stealing";
-    case DistPolicy::kGlobalLock: return "global_lock";
-    case DistPolicy::kPerWorker: return "per_worker";
-  }
-  return "?";
-}
 
 const char* to_string(DispatchPolicy p) {
   switch (p) {
@@ -23,295 +19,179 @@ const char* to_string(DispatchPolicy p) {
   return "?";
 }
 
-// ---- Distributor -----------------------------------------------------
-
-Distributor::Distributor(DistPolicy policy, int workers)
-    : policy_(policy), workers_(workers) {
-  if (policy_ == DistPolicy::kPerWorker) {
-    for (int i = 0; i < workers; ++i) {
-      per_worker_.push_back(std::make_unique<PerWorkerQ>());
-    }
+const char* to_string(DistPolicy p) {
+  switch (p) {
+    case DistPolicy::kWorkStealing: return "work_stealing";
+    case DistPolicy::kGlobalLock: return "global_lock";
+    case DistPolicy::kPerWorker: return "per_worker";
   }
-  for (int i = 0; i < workers; ++i) {
-    hinted_.push_back(std::make_unique<HintQ>());
-  }
+  return "?";
 }
-
-void Distributor::push(Sandbox* sb) { push_batch(&sb, 1); }
-
-void Distributor::push_batch(Sandbox* const* sbs, size_t n) {
-  if (n == 0) return;
-  switch (policy_) {
-    case DistPolicy::kWorkStealing: {
-      // One owner-end session per batch: push_mu_ serializes the N listener
-      // shards (the deque's owner ops assume a single thread at a time).
-      std::lock_guard<std::mutex> lock(push_mu_);
-      for (size_t i = 0; i < n; ++i) deque_.push(sbs[i]);
-      break;
-    }
-    case DistPolicy::kGlobalLock: {
-      std::lock_guard<std::mutex> lock(global_mu_);
-      for (size_t i = 0; i < n; ++i) global_q_.push_back(sbs[i]);
-      break;
-    }
-    case DistPolicy::kPerWorker: {
-      for (size_t i = 0; i < n; ++i) {
-        uint64_t idx = rr_cursor_.fetch_add(1, std::memory_order_relaxed) %
-                       static_cast<uint64_t>(workers_);
-        PerWorkerQ& q = *per_worker_[idx];
-        std::lock_guard<std::mutex> lock(q.mu);
-        q.q.push_back(sbs[i]);
-      }
-      break;
-    }
-  }
-}
-
-void Distributor::inject(Sandbox* sb, int worker_hint) {
-  // Locality-hinted placement: land the child on its parent's worker so it
-  // runs with warm caches and a zero-hop join wake. Advisory — a hinted
-  // queue deeper than the cap means the worker is busier than the caller's
-  // slack check believed, so fall back to the shared entrance where any
-  // worker can pick the child up.
-  if (worker_hint >= 0 && worker_hint < workers_) {
-    HintQ& hq = *hinted_[worker_hint];
-    if (hq.count.load(std::memory_order_relaxed) < 16) {
-      std::lock_guard<std::mutex> lock(hq.mu);
-      hq.q.push_back(sb);
-      hq.count.fetch_add(1, std::memory_order_release);
-      return;
-    }
-  }
-  // Worker-thread-safe side entrance: the Chase–Lev owner end belongs to
-  // the listener, so children bypass it through a small mutexed queue that
-  // fetch() probes with a relaxed counter (zero-cost when unused).
-  std::lock_guard<std::mutex> lock(inject_mu_);
-  inject_q_.push_back(sb);
-  inject_count_.fetch_add(1, std::memory_order_release);
-}
-
-bool Distributor::fetch(int worker_index, Sandbox** out) {
-  // Own hinted queue first: children placed here were aimed at this
-  // worker specifically, and serving them before stolen/global work keeps
-  // the parent->child locality the hint paid for.
-  if (worker_index >= 0 && worker_index < workers_) {
-    HintQ& hq = *hinted_[worker_index];
-    if (hq.count.load(std::memory_order_acquire) > 0) {
-      std::lock_guard<std::mutex> lock(hq.mu);
-      if (!hq.q.empty()) {
-        *out = hq.q.front();
-        hq.q.pop_front();
-        hq.count.fetch_sub(1, std::memory_order_release);
-        return true;
-      }
-    }
-  }
-  if (inject_count_.load(std::memory_order_acquire) > 0) {
-    std::lock_guard<std::mutex> lock(inject_mu_);
-    if (!inject_q_.empty()) {
-      *out = inject_q_.front();
-      inject_q_.pop_front();
-      inject_count_.fetch_sub(1, std::memory_order_release);
-      return true;
-    }
-  }
-  switch (policy_) {
-    case DistPolicy::kWorkStealing:
-      return deque_.steal(out);
-    case DistPolicy::kGlobalLock: {
-      std::lock_guard<std::mutex> lock(global_mu_);
-      if (global_q_.empty()) return false;
-      *out = global_q_.front();
-      global_q_.pop_front();
-      return true;
-    }
-    case DistPolicy::kPerWorker: {
-      PerWorkerQ& q = *per_worker_[worker_index];
-      std::lock_guard<std::mutex> lock(q.mu);
-      if (q.q.empty()) return false;
-      *out = q.q.front();
-      q.q.pop_front();
-      return true;
-    }
-  }
-  return false;
-}
-
-int64_t Distributor::backlog_estimate() const {
-  int64_t injected = inject_count_.load(std::memory_order_acquire);
-  for (const auto& hq : hinted_) {
-    injected += hq->count.load(std::memory_order_acquire);
-  }
-  switch (policy_) {
-    case DistPolicy::kWorkStealing:
-      return injected + deque_.size_estimate();
-    case DistPolicy::kGlobalLock: {
-      std::lock_guard<std::mutex> lock(global_mu_);
-      return injected + static_cast<int64_t>(global_q_.size());
-    }
-    case DistPolicy::kPerWorker: {
-      int64_t total = injected;
-      for (const auto& q : per_worker_) {
-        std::lock_guard<std::mutex> lock(q->mu);
-        total += static_cast<int64_t>(q->q.size());
-      }
-      return total;
-    }
-  }
-  return injected;
-}
-
-// ---- Dispatchers ------------------------------------------------------
 
 namespace {
 
-// The paper's design, unchanged: the Distributor (and its DistPolicy queue
-// ablation) behind the Dispatcher interface.
-class WorkStealingDispatcher : public Dispatcher {
- public:
-  WorkStealingDispatcher(DistPolicy dist, int workers)
-      : dist_(dist, workers) {}
+// A mutexed FIFO with a lock-free size probe, so an empty queue costs a
+// fetch one atomic load and no lock. The side entrance, the hinted queues
+// and the FIFO shards are all this structure; queues of neighbouring
+// workers sit in one vector, hence the cache-line alignment.
+struct alignas(64) MutexQueue {
+  std::mutex mu;
+  std::deque<Sandbox*> q;
+  std::atomic<int64_t> count{0};
 
-  DispatchPolicy kind() const override {
-    return DispatchPolicy::kWorkStealing;
+  void push(Sandbox* sb) {
+    std::lock_guard<std::mutex> lock(mu);
+    q.push_back(sb);
+    count.fetch_add(1, std::memory_order_release);
   }
-  void push(Sandbox* sb) override { dist_.push(sb); }
+  bool pop(Sandbox** out) {
+    if (count.load(std::memory_order_acquire) == 0) return false;
+    std::lock_guard<std::mutex> lock(mu);
+    if (q.empty()) return false;
+    *out = q.front();
+    q.pop_front();
+    count.fetch_sub(1, std::memory_order_release);
+    return true;
+  }
+  int64_t size() const { return count.load(std::memory_order_acquire); }
+};
+
+// The paper's design. push_batch is listener-only; with N listener shards
+// the deque's owner end has N producers, so owner sessions are serialized
+// by push_mu_ (the mutex gives successive owners the happens-before edge
+// the algorithm needs; steals stay lock-free). Worker threads never touch
+// the owner end: their injects take the side entrance or, when hinted, the
+// target worker's own queue.
+class ChaseLevDispatcher final : public Dispatcher {
+ public:
+  explicit ChaseLevDispatcher(int workers) : hinted_(workers) {}
+
   void push_batch(Sandbox* const* sbs, size_t n) override {
-    dist_.push_batch(sbs, n);
+    std::lock_guard<std::mutex> lock(push_mu_);
+    for (size_t i = 0; i < n; ++i) deque_.push(sbs[i]);
   }
-  void inject(Sandbox* sb, int worker_hint) override {
-    dist_.inject(sb, worker_hint);
+
+  bool inject(Sandbox* sb, int worker_hint) override {
+    // Locality: land the child on its parent's worker (warm caches,
+    // zero-hop join wake). A hinted queue past the cap means that worker
+    // is busier than the caller's slack check believed, so the child takes
+    // the side entrance where any worker can pick it up.
+    if (worker_hint >= 0 && worker_hint < static_cast<int>(hinted_.size()) &&
+        hinted_[worker_hint].size() < kHintCap) {
+      hinted_[worker_hint].push(sb);
+      return true;
+    }
+    side_.push(sb);
+    return false;
   }
+
   bool fetch(int worker_index, Sandbox** out) override {
-    return dist_.fetch(worker_index, out);
-  }
-  int64_t backlog_estimate() const override {
-    return dist_.backlog_estimate();
-  }
-
- private:
-  Distributor dist_;
-};
-
-// Centralized deadline-sorted admit order: one mutexed min-heap on the
-// absolute wall-clock deadline stamped at admission. Every fetch — from any
-// worker — pops the globally earliest deadline, so under bursts the tightest
-// requests reach a core first regardless of arrival order. Deadline-less
-// requests sort last; equal deadlines break FIFO (seq).
-class GlobalEdfDispatcher : public Dispatcher {
- public:
-  DispatchPolicy kind() const override { return DispatchPolicy::kGlobalEdf; }
-
-  void push(Sandbox* sb) override { place(sb); }
-  // Locality hints are ignored: global deadline order IS the policy here.
-  void inject(Sandbox* sb, int) override { place(sb); }
-
-  bool fetch(int, Sandbox** out) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (heap_.empty()) return false;
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    *out = heap_.back().sb;
-    heap_.pop_back();
-    size_.fetch_sub(1, std::memory_order_relaxed);
-    return true;
+    // Own hinted queue first: those children were aimed at this worker,
+    // and serving them before stolen work keeps the locality the hint paid
+    // for.
+    if (worker_index >= 0 && worker_index < static_cast<int>(hinted_.size()) &&
+        hinted_[worker_index].pop(out)) {
+      return true;
+    }
+    return side_.pop(out) || deque_.steal(out);
   }
 
   int64_t backlog_estimate() const override {
-    return size_.load(std::memory_order_relaxed);
+    int64_t total = side_.size() + deque_.size_estimate();
+    for (const MutexQueue& q : hinted_) total += q.size();
+    return total;
   }
 
  private:
-  struct Entry {
-    uint64_t deadline;  // absolute ns; UINT64_MAX = no deadline
-    uint64_t seq;       // FIFO tie-break
-    Sandbox* sb;
-  };
-  // Min-heap on (deadline, seq) via std::*_heap's max-heap comparator.
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.deadline != b.deadline) return a.deadline > b.deadline;
-      return a.seq > b.seq;
-    }
-  };
+  static constexpr int64_t kHintCap = 16;
 
-  void place(Sandbox* sb) {
-    uint64_t deadline = sb->deadline_at_ns();
-    std::lock_guard<std::mutex> lock(mu_);
-    heap_.push_back(Entry{deadline == 0 ? UINT64_MAX : deadline, seq_++, sb});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-    size_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  mutable std::mutex mu_;
-  std::vector<Entry> heap_;
-  uint64_t seq_ = 0;
-  std::atomic<int64_t> size_{0};
+  std::mutex push_mu_;
+  WorkStealingDeque<Sandbox*> deque_;
+  MutexQueue side_;
+  std::vector<MutexQueue> hinted_;
 };
 
-// Sharded-by-module placement: the target module (Sandbox::user_tag, set
-// before push/inject) hashes to one worker's shard, so a module's requests
-// always run on the same core — instruction/data locality and hard
-// per-module isolation, at the price of work conservation (an idle worker
-// never helps a loaded shard).
-class ShardedByModuleDispatcher : public Dispatcher {
+// global_lock (one shard), per_worker (round-robin over N) and
+// sharded_module (module hash over N). With one shard every worker drains
+// it; otherwise worker i drains shard i only. Invoke hints are ignored:
+// the placement rule is the policy.
+class FifoShardDispatcher final : public Dispatcher {
  public:
-  explicit ShardedByModuleDispatcher(int workers) : workers_(workers) {
-    for (int i = 0; i < workers; ++i) {
-      shards_.push_back(std::make_unique<Shard>());
-    }
+  FifoShardDispatcher(int shards, bool by_module)
+      : shards_(shards), by_module_(by_module) {}
+
+  void push_batch(Sandbox* const* sbs, size_t n) override {
+    for (size_t i = 0; i < n; ++i) shards_[shard_of(sbs[i])].push(sbs[i]);
   }
 
-  DispatchPolicy kind() const override {
-    return DispatchPolicy::kShardedByModule;
+  bool inject(Sandbox* sb, int) override {
+    shards_[shard_of(sb)].push(sb);
+    return false;
   }
-
-  void push(Sandbox* sb) override { place(sb); }
-  // Locality hints are ignored: module affinity IS the policy here.
-  void inject(Sandbox* sb, int) override { place(sb); }
 
   bool fetch(int worker_index, Sandbox** out) override {
-    if (worker_index < 0 || worker_index >= workers_) return false;
-    Shard& s = *shards_[worker_index];
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (s.q.empty()) return false;
-    *out = s.q.front();
-    s.q.pop_front();
-    return true;
+    if (shards_.size() == 1) return shards_[0].pop(out);
+    if (worker_index < 0 || worker_index >= static_cast<int>(shards_.size())) {
+      return false;
+    }
+    return shards_[worker_index].pop(out);
   }
 
   int64_t backlog_estimate() const override {
     int64_t total = 0;
-    for (const auto& s : shards_) {
-      std::lock_guard<std::mutex> lock(s->mu);
-      total += static_cast<int64_t>(s->q.size());
-    }
+    for (const MutexQueue& s : shards_) total += s.size();
     return total;
   }
 
-  int shard_of(const void* module_tag) const {
+ private:
+  size_t shard_of(const Sandbox* sb) {
+    const uint64_t n = shards_.size();
+    if (n == 1) return 0;
+    if (!by_module_) {
+      return rr_cursor_.fetch_add(1, std::memory_order_relaxed) % n;
+    }
     // Mix the pointer bits (splitmix-style) so allocation alignment does
     // not funnel every module onto shard 0.
-    uint64_t z = reinterpret_cast<uintptr_t>(module_tag);
+    uint64_t z = reinterpret_cast<uintptr_t>(sb->user_tag);
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return static_cast<int>((z ^ (z >> 31)) %
-                            static_cast<uint64_t>(workers_));
+    return (z ^ (z >> 31)) % n;
+  }
+
+  std::vector<MutexQueue> shards_;
+  const bool by_module_;
+  std::atomic<uint64_t> rr_cursor_{0};
+};
+
+// global_edf: under bursts the tightest requests reach a core first,
+// regardless of arrival order; scalability is traded for global deadline
+// order. Invoke hints are ignored: deadline order is the policy.
+class DeadlineDispatcher final : public Dispatcher {
+ public:
+  void push_batch(Sandbox* const* sbs, size_t n) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t i = 0; i < n; ++i) heap_.push(sbs[i]);
+  }
+
+  bool inject(Sandbox* sb, int) override {
+    push(sb);
+    return false;
+  }
+
+  bool fetch(int, Sandbox** out) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    *out = heap_.pop();
+    return *out != nullptr;
+  }
+
+  int64_t backlog_estimate() const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return static_cast<int64_t>(heap_.size());
   }
 
  private:
-  struct Shard {
-    std::mutex mu;
-    std::deque<Sandbox*> q;
-  };
-
-  void place(Sandbox* sb) {
-    Shard& s = *shards_[shard_of(sb->user_tag)];
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.q.push_back(sb);
-  }
-
-  int workers_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex mu_;
+  DeadlineHeap heap_;
 };
 
 }  // namespace
@@ -320,13 +200,21 @@ std::unique_ptr<Dispatcher> Dispatcher::make(DispatchPolicy policy,
                                              DistPolicy dist, int workers) {
   switch (policy) {
     case DispatchPolicy::kGlobalEdf:
-      return std::make_unique<GlobalEdfDispatcher>();
+      return std::make_unique<DeadlineDispatcher>();
     case DispatchPolicy::kShardedByModule:
-      return std::make_unique<ShardedByModuleDispatcher>(workers);
+      return std::make_unique<FifoShardDispatcher>(workers, true);
     case DispatchPolicy::kWorkStealing:
       break;
   }
-  return std::make_unique<WorkStealingDispatcher>(dist, workers);
+  switch (dist) {
+    case DistPolicy::kGlobalLock:
+      return std::make_unique<FifoShardDispatcher>(1, false);
+    case DistPolicy::kPerWorker:
+      return std::make_unique<FifoShardDispatcher>(workers, false);
+    case DistPolicy::kWorkStealing:
+      break;
+  }
+  return std::make_unique<ChaseLevDispatcher>(workers);
 }
 
 }  // namespace sledge::runtime

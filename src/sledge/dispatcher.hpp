@@ -1,137 +1,70 @@
-// The dispatcher layer: how admitted sandboxes travel from the listener to
-// a worker core. Sits above the per-worker SchedulerPolicy (which orders a
-// worker's *local* runnable set) and decides the *global* hand-out:
+// The dispatch layer: how admitted sandboxes travel from the listener
+// shards (and, for sb_invoke children, from worker threads) to a worker
+// core. It fixes the order in which a worker *receives* work; the
+// per-worker SchedulerPolicy orders what the worker then *runs*. Three
+// queue structures serve five placements:
 //
-//   kWorkStealing — the paper's design: a global Chase–Lev deque (or the
-//                   lock/per-worker ablations of DistPolicy) that any idle
-//                   worker drains. Deadline-blind but work-conserving.
-//   kGlobalEdf    — one centralized deadline-sorted admit order: every
-//                   fetch() pops the earliest absolute deadline across ALL
-//                   queued requests (deadline-less requests sort last, FIFO
-//                   ties). The SLEdgeScale-style "task-deadline-aware"
-//                   hand-out; a mutexed binary heap, so scalability is
-//                   traded for global deadline order.
-//   kShardedByModule — requests are placed on a per-worker shard chosen by
-//                   hashing the target module: one module's requests always
-//                   land on the same core (cache locality, per-module
-//                   isolation), no stealing, not work-conserving.
-//
-// Every dispatcher composes with every per-worker SchedulerPolicy: the
-// dispatcher fixes the order in which a worker *receives* work, the policy
-// the order in which the worker *runs* what it holds.
+//   Chase–Lev work stealing (the paper's design, §3.4): one global
+//     lock-free deque that any idle worker steals from, plus a mutexed side
+//     entrance for worker-thread injects and a hinted queue per worker for
+//     invoke locality. Work-conserving, deadline-blind.
+//   Mutexed FIFO shards, which differ only in their placement rule:
+//     global_lock    — one shard that every worker drains (work-conserving,
+//                      not scalable);
+//     per_worker     — one shard per worker, round-robin placement, no
+//                      stealing (scalable, not work-conserving);
+//     sharded_module — one shard per worker, picked by hashing the target
+//                      module (Sandbox::user_tag), so a module's requests
+//                      always run on the same core.
+//   Deadline heap (global_edf): one mutexed (deadline, seq) min-heap; every
+//     fetch, from any worker, pops the globally earliest deadline (the
+//     SLEdgeScale-style deadline-aware hand-out).
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
-#include <vector>
 
-#include "sledge/deque.hpp"
 #include "sledge/sandbox.hpp"
 
 namespace sledge::runtime {
 
-// Work-distribution policy of the kWorkStealing dispatcher (the queue
-// ablation of DESIGN.md):
-//   kWorkStealing — lock-free global Chase–Lev deque (the paper's design)
-//   kGlobalLock   — one mutex-protected FIFO (work-conserving, not scalable)
-//   kPerWorker    — per-worker mutex FIFOs, round-robin assignment, no
-//                   stealing (scalable, not work-conserving)
-enum class DistPolicy : uint8_t { kWorkStealing, kGlobalLock, kPerWorker };
-
-const char* to_string(DistPolicy p);
-
+// Selects the structure. kWorkStealing defers to DistPolicy (the queue
+// ablation of DESIGN.md); the other two ignore it.
 enum class DispatchPolicy : uint8_t {
   kWorkStealing = 0,
   kGlobalEdf = 1,
   kShardedByModule = 2,
 };
 
+// Under DispatchPolicy::kWorkStealing: the Chase–Lev deque, or the
+// global_lock / per_worker FIFO-shard ablations.
+enum class DistPolicy : uint8_t { kWorkStealing, kGlobalLock, kPerWorker };
+
 const char* to_string(DispatchPolicy p);
+const char* to_string(DistPolicy p);
 
-// Work distribution with swappable policy. push() is listener-shard-only
-// for kWorkStealing; with N listener shards the Chase–Lev owner end has N
-// producers, so owner-end sessions are serialized by `push_mu_` (steals stay
-// lock-free). inject() is the any-thread side entrance (sb_invoke children
-// are admitted from worker threads, which must not touch the owner end).
-class Distributor {
- public:
-  Distributor(DistPolicy policy, int workers);
-
-  void push(Sandbox* sb);
-  // Batched admission: one owner-end session / lock acquisition for the
-  // whole epoll tick instead of one per request.
-  void push_batch(Sandbox* const* sbs, size_t n);
-  // `worker_hint` >= 0 asks for placement on that worker's hinted queue
-  // (invoke locality: the child runs where the parent's caches are warm).
-  // The hint is advisory — a full hinted queue falls back to the shared
-  // side entrance, and any worker's fetch() can still serve global work.
-  void inject(Sandbox* sb, int worker_hint = -1);
-  bool fetch(int worker_index, Sandbox** out);
-  int64_t backlog_estimate() const;
-
- private:
-  DistPolicy policy_;
-  int workers_;
-  // Serializes the Chase–Lev owner end across listener shards. The deque's
-  // owner ops assume one thread; the mutex gives successive owners a
-  // happens-before edge, which is all the algorithm needs.
-  std::mutex push_mu_;
-  WorkStealingDeque<Sandbox*> deque_;
-  mutable std::mutex global_mu_;
-  std::deque<Sandbox*> global_q_;
-  mutable std::mutex inject_mu_;
-  std::deque<Sandbox*> inject_q_;
-  std::atomic<int64_t> inject_count_{0};  // lock-free emptiness probe
-  struct PerWorkerQ {
-    std::mutex mu;
-    std::deque<Sandbox*> q;
-  };
-  std::vector<std::unique_ptr<PerWorkerQ>> per_worker_;
-  // Locality-hinted inject queues, one per worker, drained by that worker's
-  // fetch() ahead of everything else. Counts are lock-free probes so the
-  // hot fetch path pays one relaxed load when locality is unused.
-  struct HintQ {
-    std::mutex mu;
-    std::deque<Sandbox*> q;
-    std::atomic<int32_t> count{0};
-  };
-  std::vector<std::unique_ptr<HintQ>> hinted_;
-  std::atomic<uint64_t> rr_cursor_{0};
-};
-
-// The pluggable hand-out structure. Contracts shared by every
-// implementation:
-//   push()   — listener-thread admit (single producer; kWorkStealing owns
-//              the Chase–Lev producer end there).
-//   inject() — any-thread side entrance (sb_invoke children admitted from
-//              worker threads).
-//   fetch()  — worker-side dequeue; returns false when nothing is available
-//              for `worker_index`. Each pushed sandbox is returned by
-//              exactly one successful fetch (no loss, no duplication).
-//   backlog_estimate() — racy size probe for drain/observability.
+// Contracts shared by every structure: each pushed or injected sandbox is
+// returned by exactly one successful fetch (no loss, no duplication).
 class Dispatcher {
  public:
   virtual ~Dispatcher() = default;
 
-  virtual DispatchPolicy kind() const = 0;
-  virtual void push(Sandbox* sb) = 0;
-  // Admit a whole epoll tick's worth of sandboxes in one call (listener
-  // shards batch admissions; queue kinds that lock can amortize to one
-  // acquisition). Default just loops over push().
-  virtual void push_batch(Sandbox* const* sbs, size_t n) {
-    for (size_t i = 0; i < n; ++i) push(sbs[i]);
-  }
-  // `worker_hint` >= 0 prefers that worker (invoke locality). Dispatchers
-  // whose placement semantics dominate (global deadline order, module
-  // affinity) may ignore it; work-stealing honors it.
-  virtual void inject(Sandbox* sb, int worker_hint = -1) = 0;
+  // Listener-shard admit of a whole epoll tick: one owner-end session (or
+  // lock acquisition) for the batch instead of one per request.
+  virtual void push_batch(Sandbox* const* sbs, size_t n) = 0;
+  void push(Sandbox* sb) { push_batch(&sb, 1); }
+  // Any-thread side entrance (sb_invoke children are admitted from worker
+  // threads). `worker_hint` >= 0 asks for that worker (invoke locality).
+  // Returns true iff the sandbox landed on the hinted worker's own queue;
+  // false means the normal placement (no hint, the hinted queue is full, or
+  // the structure's placement rule ignores hints).
+  virtual bool inject(Sandbox* sb, int worker_hint = -1) = 0;
+  // Worker-side dequeue; false when nothing is available to `worker_index`.
   virtual bool fetch(int worker_index, Sandbox** out) = 0;
+  // Racy size probe for drain and observability.
   virtual int64_t backlog_estimate() const = 0;
 
-  // `dist` only affects kWorkStealing (the queue ablation rides along).
   static std::unique_ptr<Dispatcher> make(DispatchPolicy policy,
                                           DistPolicy dist, int workers);
 };

@@ -150,7 +150,10 @@ Status Runtime::start() {
     workers_.back()->start();
   }
   for (auto& l : listeners_) l->start();
-  if (config_.warm_pool.enabled) {
+  // Pre-built sandboxes only exist on the snapshot tier; other tiers need
+  // no replenisher thread.
+  if (config_.warm_pool.enabled &&
+      config_.instantiation == InstantiationMode::kSnapshot) {
     replenish_run_.store(true, std::memory_order_release);
     replenisher_ = std::thread([this] { replenisher_main(); });
   }
@@ -281,7 +284,7 @@ std::unique_ptr<Sandbox> Runtime::create_sandbox(LoadedModule* mod,
                                                  bool keep_alive) {
   Stopwatch sw;
   mod->warm_pool.arrivals.note_arrival(now_ns());
-  InstantiationMode mode = module_instantiation(mod);
+  InstantiationMode mode = config_.instantiation;
   if (mode == InstantiationMode::kSnapshot && config_.warm_pool.enabled) {
     if (std::unique_ptr<Sandbox> sb = mod->warm_pool.pop()) {
       // Pre-built by the replenisher; the request only pays the pop.
@@ -298,9 +301,6 @@ void Runtime::replenisher_main() {
   const WarmPoolConfig& wp = config_.warm_pool;
   while (replenish_run_.load(std::memory_order_acquire)) {
     for (auto& [name, mod] : modules_) {
-      if (module_instantiation(mod.get()) != InstantiationMode::kSnapshot) {
-        continue;
-      }
       WarmPool& pool = mod->warm_pool;
       uint64_t now = now_ns();
       uint64_t last = pool.arrivals.last_arrival_ns();
@@ -390,19 +390,16 @@ void Runtime::configure_invoke_child(Sandbox* parent, LoadedModule* mod,
 void Runtime::place_invoke_child(Sandbox* parent, LoadedModule* mod,
                                  std::unique_ptr<Sandbox> child,
                                  bool zerocopy) {
-  // Locality: prefer the parent's worker when its runnable backlog has
+  // Locality: ask for the parent's worker when its runnable backlog has
   // slack — the child starts on warm caches and the join wake is zero-hop.
-  // Only computed for work-stealing, the one dispatcher that honors hints
-  // (deadline order / module affinity dominate in the others), so the
-  // invoke_local counter reflects placements actually requested.
+  // The dispatcher decides whether the hint is honored (work stealing
+  // does, below its per-worker cap; deadline order and FIFO-shard
+  // placement ignore it), so invoke_local counts placements that happened.
   int hint = -1;
-  if (config_.invoke_locality &&
-      dispatcher_->kind() == DispatchPolicy::kWorkStealing) {
-    int pw = parent->owner_worker();
-    if (pw >= 0 && pw < static_cast<int>(workers_.size()) &&
-        workers_[pw]->backlog_hint() <= kInvokeLocalitySlack) {
-      hint = pw;
-    }
+  int pw = parent->owner_worker();
+  if (pw >= 0 && pw < static_cast<int>(workers_.size()) &&
+      workers_[pw]->backlog_hint() <= kInvokeLocalitySlack) {
+    hint = pw;
   }
   {
     std::lock_guard<std::mutex> lock(mod->stats.mu);
@@ -413,17 +410,17 @@ void Runtime::place_invoke_child(Sandbox* parent, LoadedModule* mod,
          : child->pooled() ? mod->stats.startup_pooled
                            : mod->stats.startup_cold)
         .record(child->startup_cost_ns());
-    if (hint >= 0) ++mod->stats.invoke_local;
     if (zerocopy) ++mod->stats.invoke_zerocopy;
   }
   invokes_.fetch_add(1, std::memory_order_relaxed);
   note_admitted(mod);
-  dispatcher_->inject(child.release(), hint);
-  if (hint >= 0) {
-    notify_worker(hint);
-  } else {
+  if (!dispatcher_->inject(child.release(), hint)) {
     notify_workers();  // the parent's own worker may be the only idle core
+    return;
   }
+  notify_worker(hint);
+  std::lock_guard<std::mutex> lock(mod->stats.mu);
+  ++mod->stats.invoke_local;
 }
 
 bool Runtime::invoke_child(Sandbox* parent, const std::string& name,
@@ -695,6 +692,18 @@ std::string Runtime::stats_json() const {
         json::Value(static_cast<double>(sc.build_failures));
     root["snapshot"] = json::Value(std::move(snap));
   }
+  {
+    // Zero-copy transfer buffers (process-wide): `outstanding` is the live
+    // loan count, so a leaked loan shows here without a shutdown report.
+    const SandboxResourcePool::Counters pc =
+        SandboxResourcePool::instance().counters();
+    json::Object xfer;
+    xfer["hits"] = json::Value(static_cast<double>(pc.transfer_hits));
+    xfer["misses"] = json::Value(static_cast<double>(pc.transfer_misses));
+    xfer["outstanding"] =
+        json::Value(static_cast<double>(pc.transfer_outstanding));
+    root["transfer"] = json::Value(std::move(xfer));
+  }
 
   json::Array listeners;
   for (const ListenerSnapshot& l : s.listeners) {
@@ -801,20 +810,27 @@ std::string Runtime::stats_prometheus() const {
   };
   const SnapshotRegistry::Counters snap =
       SnapshotRegistry::instance().counters();
-  const Counter snap_counters[] = {
+  const SandboxResourcePool::Counters pool =
+      SandboxResourcePool::instance().counters();
+  const Counter pool_counters[] = {
       {"sledge_snapshot_hits_total", snap.hits},
       {"sledge_snapshot_misses_total", snap.misses},
       {"sledge_snapshot_builds_total", snap.builds},
       {"sledge_snapshot_build_failures_total", snap.build_failures},
+      {"sledge_transfer_hits_total", pool.transfer_hits},
+      {"sledge_transfer_misses_total", pool.transfer_misses},
   };
   for (const Counter& c : counters) {
     emit("# TYPE %s counter\n%s %llu\n", c.name, c.name,
          static_cast<unsigned long long>(c.value));
   }
-  for (const Counter& c : snap_counters) {
+  for (const Counter& c : pool_counters) {
     emit("# TYPE %s counter\n%s %llu\n", c.name, c.name,
          static_cast<unsigned long long>(c.value));
   }
+  emit("# TYPE sledge_transfer_outstanding gauge\n"
+       "sledge_transfer_outstanding %llu\n",
+       static_cast<unsigned long long>(pool.transfer_outstanding));
 
   emit("# TYPE sledge_listener_accepted_total counter\n");
   for (const ListenerSnapshot& l : s.listeners) {

@@ -59,27 +59,28 @@ struct RuntimeConfig {
   // 0 = min(4, hardware cores).
   int num_listeners = 0;
   uint64_t quantum_us = 5000;  // paper's 5 ms time slice
-  bool preemption = true;      // false = cooperative-only (ablation)
+  // false = the quantum timer is never armed: cooperative-only, and with
+  // the round-robin scheduler FIFO run-to-completion (ablation).
+  bool preemption = true;
+  // How admitted sandboxes are handed out across workers (dispatcher.hpp):
+  // work_stealing uses `policy`'s queue ablation; global_edf and
+  // sharded_module replace it.
   DistPolicy policy = DistPolicy::kWorkStealing;
-  // Dispatcher layer above the Distributor: how admitted sandboxes are
-  // handed out across workers (work_stealing keeps `policy`'s queue
-  // ablation; global_edf and sharded_module replace it).
   DispatchPolicy dispatcher = DispatchPolicy::kWorkStealing;
-  // Per-worker scheduling policy over the local runnable set (the
-  // cross-worker handoff above stays as configured by `policy`).
+  // Per-worker scheduling policy over the local runnable set.
   SchedPolicy sched = SchedPolicy::kRoundRobin;
   // Sandbox resource pool (warm startup path). Applied process-wide at
   // Runtime construction; pool.enabled=false is the cold-start ablation.
   SandboxResourcePool::Config pool;
   engine::WasmModule::Config engine;  // default tier/bounds for modules
-  // Startup tier for sandbox instantiation (per-module override in
-  // ModuleLimits): cold = fresh mapping per request (ablation), pooled =
-  // recycled zeroed memory (PR 2 warm path), snapshot = COW memfd template
-  // of the post-start image (falls back to pooled when no template builds).
+  // Startup tier for sandbox instantiation, for every module: cold = fresh
+  // mapping per request (ablation), pooled = recycled zeroed memory (PR 2
+  // warm path), snapshot = COW memfd template of the post-start image
+  // (falls back to pooled when no template builds).
   InstantiationMode instantiation = InstantiationMode::kPooled;
   // Warm-pool autoscaler: a background replenisher pre-builds
   // snapshot-backed sandboxes per module, sized from the observed arrival
-  // rate. Only engages for modules resolved to the snapshot tier.
+  // rate. Only engages when `instantiation` is the snapshot tier.
   WarmPoolConfig warm_pool;
 
   // ---- Deadline enforcement & overload defaults (0 = unlimited) ----
@@ -110,10 +111,6 @@ struct RuntimeConfig {
   // Inter-function payload path: zero-copy pooled transfer buffers (kShm,
   // default) or the per-request vector copies of the baseline (kCopy).
   InvokeDataplane invoke_dataplane = InvokeDataplane::kShm;
-  // Prefer placing sb_invoke children on the parent's worker when its
-  // runnable backlog has slack (warm caches, zero-hop join wake). Off =
-  // always use the configured dispatcher's normal placement.
-  bool invoke_locality = true;
 
   // ---- Observability plane ----
   // Serve GET /admin/stats (JSON) and GET /admin/metrics (Prometheus text)
@@ -126,16 +123,6 @@ struct RuntimeConfig {
   std::string access_log_path;
 };
 
-// Per-module startup-tier selection: kInherit follows the runtime-wide
-// RuntimeConfig::instantiation; the rest pin the tier for this module
-// (in-process A/B of cold vs pooled vs snapshot instantiation).
-enum class InstantiationOverride : uint8_t {
-  kInherit,
-  kCold,
-  kPooled,
-  kSnapshot,
-};
-
 // Per-module overrides for the RuntimeConfig-wide limits (0 = inherit).
 struct ModuleLimits {
   uint64_t execution_budget_ns = 0;
@@ -145,8 +132,6 @@ struct ModuleLimits {
   uint32_t tenant_weight = 0;
   // Inter-function dataplane for chains this module's sandboxes start.
   InvokeDataplaneOverride invoke_dataplane = InvokeDataplaneOverride::kInherit;
-  // Startup tier for this module's sandboxes.
-  InstantiationOverride instantiation = InstantiationOverride::kInherit;
 };
 
 struct ModuleStats {
@@ -243,27 +228,11 @@ class Runtime : public InvokeBroker {
   Status update_module_limits(const std::string& name,
                               const ModuleLimits& limits);
 
-  // Resolved startup tier for `mod`: the per-module override when set, the
-  // runtime-wide config otherwise.
-  InstantiationMode module_instantiation(const LoadedModule* mod) const {
-    switch (mod->limits.instantiation) {
-      case InstantiationOverride::kCold:
-        return InstantiationMode::kCold;
-      case InstantiationOverride::kPooled:
-        return InstantiationMode::kPooled;
-      case InstantiationOverride::kSnapshot:
-        return InstantiationMode::kSnapshot;
-      case InstantiationOverride::kInherit:
-        break;
-    }
-    return config_.instantiation;
-  }
-
   // Admission-path sandbox creation, shared by the listener shards and the
   // invoke broker: notes the arrival for the warm-pool autoscaler, adopts a
   // pre-built sandbox from the module's warm pool when one is ready, and
-  // otherwise builds at the module's resolved tier. nullptr = resource
-  // exhaustion (the caller sheds with 503 / kSbErrOverload).
+  // otherwise builds at the configured tier. nullptr = resource exhaustion
+  // (the caller sheds with 503 / kSbErrOverload).
   std::unique_ptr<Sandbox> create_sandbox(LoadedModule* mod,
                                           std::vector<uint8_t> request,
                                           int conn_fd, bool keep_alive);
@@ -491,9 +460,10 @@ class Runtime : public InvokeBroker {
   void place_invoke_child(Sandbox* parent, LoadedModule* mod,
                           std::unique_ptr<Sandbox> child, bool zerocopy);
 
-  // Warm-pool replenisher: a background thread that periodically sizes each
-  // snapshot-tier module's warm pool from its arrival-rate estimator and
-  // pre-builds sandboxes up to the target (decaying idle modules to zero).
+  // Warm-pool replenisher (snapshot tier only): a background thread that
+  // periodically sizes each module's warm pool from its arrival-rate
+  // estimator and pre-builds sandboxes up to the target (decaying idle
+  // modules to zero).
   void replenisher_main();
 
   RuntimeConfig config_;

@@ -1,15 +1,14 @@
 #include "sledge/scheduler_policy.hpp"
 
-#include <algorithm>
 #include <deque>
-#include <vector>
+
+#include "sledge/deadline_heap.hpp"
 
 namespace sledge::runtime {
 
 const char* to_string(SchedPolicy p) {
   switch (p) {
     case SchedPolicy::kRoundRobin: return "round_robin";
-    case SchedPolicy::kFifoRunToCompletion: return "fifo";
     case SchedPolicy::kEdf: return "edf";
   }
   return "?";
@@ -17,13 +16,9 @@ const char* to_string(SchedPolicy p) {
 
 namespace {
 
-// kRoundRobin and kFifoRunToCompletion share the queue discipline; they
-// differ only in whether the quantum timer is allowed to fire.
-class FifoQueuePolicy : public SchedulerPolicy {
+class RoundRobinPolicy : public SchedulerPolicy {
  public:
-  explicit FifoQueuePolicy(SchedPolicy kind) : kind_(kind) {}
-
-  SchedPolicy kind() const override { return kind_; }
+  SchedPolicy kind() const override { return SchedPolicy::kRoundRobin; }
   void enqueue(Sandbox* sb) override { queue_.push_back(sb); }
   Sandbox* pick_next() override {
     if (queue_.empty()) return nullptr;
@@ -32,67 +27,29 @@ class FifoQueuePolicy : public SchedulerPolicy {
     return sb;
   }
   size_t size() const override { return queue_.size(); }
-  bool allows_preemption() const override {
-    return kind_ == SchedPolicy::kRoundRobin;
-  }
   bool admit_eagerly() const override { return false; }
 
  private:
-  SchedPolicy kind_;
   std::deque<Sandbox*> queue_;
 };
 
 class EdfPolicy : public SchedulerPolicy {
  public:
   SchedPolicy kind() const override { return SchedPolicy::kEdf; }
-
-  void enqueue(Sandbox* sb) override {
-    uint64_t deadline = sb->deadline_at_ns();
-    heap_.push_back(Entry{deadline == 0 ? UINT64_MAX : deadline, seq_++, sb});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-  }
-
-  Sandbox* pick_next() override {
-    if (heap_.empty()) return nullptr;
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Sandbox* sb = heap_.back().sb;
-    heap_.pop_back();
-    return sb;
-  }
-
+  void enqueue(Sandbox* sb) override { heap_.push(sb); }
+  Sandbox* pick_next() override { return heap_.pop(); }
   size_t size() const override { return heap_.size(); }
-  bool allows_preemption() const override { return true; }
   bool admit_eagerly() const override { return true; }
 
  private:
-  struct Entry {
-    uint64_t deadline;  // absolute ns; UINT64_MAX = no deadline
-    uint64_t seq;       // FIFO tie-break
-    Sandbox* sb;
-  };
-  // Min-heap on (deadline, seq) via std::*_heap's max-heap comparator.
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.deadline != b.deadline) return a.deadline > b.deadline;
-      return a.seq > b.seq;
-    }
-  };
-
-  std::vector<Entry> heap_;
-  uint64_t seq_ = 0;
+  DeadlineHeap heap_;
 };
 
 }  // namespace
 
 std::unique_ptr<SchedulerPolicy> SchedulerPolicy::make(SchedPolicy kind) {
-  switch (kind) {
-    case SchedPolicy::kEdf:
-      return std::make_unique<EdfPolicy>();
-    case SchedPolicy::kRoundRobin:
-    case SchedPolicy::kFifoRunToCompletion:
-      break;
-  }
-  return std::make_unique<FifoQueuePolicy>(kind);
+  if (kind == SchedPolicy::kEdf) return std::make_unique<EdfPolicy>();
+  return std::make_unique<RoundRobinPolicy>();
 }
 
 }  // namespace sledge::runtime

@@ -11,7 +11,8 @@
 //   "preemption": true,
 //   "policy": "work_stealing",   // | "global_lock" | "per_worker"
 //   "dispatcher": "work_stealing",  // | "global_edf" | "sharded_module"
-//   "scheduler": "round_robin",  // | "fifo" (run-to-completion) | "edf"
+//   "scheduler": "round_robin",  // | "edf"; FIFO run-to-completion =
+//                                // round_robin + "preemption": false
 //   "admission": "depth",        // | "slack" (expected-slack + fair shares)
 //   "pool": true,                // sandbox resource pool (warm startup)
 //   "pool_per_thread": 8,        // free-list entries kept per thread
@@ -31,7 +32,6 @@
 //   "max_sandbox_fds": 8,    // per-sandbox open outbound-socket cap
 //   "max_invoke_depth": 4,   // sb_invoke chain depth cap (top level = 0)
 //   "invoke_dataplane": "shm",  // | "copy" (per-request vector copies)
-//   "invoke_locality": true,    // place invoke children on parent's worker
 //   "admin_endpoint": true,  // GET /admin/stats (JSON) + /admin/metrics
 //   "access_log": "",        // per-request JSON lines file ("" = off)
 //   "modules": [
@@ -39,7 +39,6 @@
 //     {"name": "ekf", "minicc": "src/apps/wasm_src/ekf.mc",
 //      "budget_us": 50000, "deadline_us": 200000,   // per-module overrides
 //      "tenant_weight": 2,   // fair-share weight (admission = "slack")
-//      "instantiation": "snapshot",  // per-module tier (unset = inherit)
 //      "invoke_dataplane": "copy"}  // | "shm" (unset = inherit global)
 //   ]
 // }
@@ -88,9 +87,6 @@ Result<runtime::RuntimeConfig> parse_config(const json::Value& doc) {
     return Result<runtime::RuntimeConfig>::error("unknown invoke_dataplane: " +
                                                  dataplane);
   }
-  if (doc["invoke_locality"].is_bool()) {
-    cfg.invoke_locality = doc["invoke_locality"].as_bool();
-  }
   if (doc["admin_endpoint"].is_bool()) {
     cfg.admin_endpoint = doc["admin_endpoint"].as_bool();
   }
@@ -130,9 +126,7 @@ Result<runtime::RuntimeConfig> parse_config(const json::Value& doc) {
   }
 
   const std::string& sched = doc["scheduler"].as_string();
-  if (sched == "fifo") {
-    cfg.sched = runtime::SchedPolicy::kFifoRunToCompletion;
-  } else if (sched == "edf") {
+  if (sched == "edf") {
     cfg.sched = runtime::SchedPolicy::kEdf;
   } else if (sched.empty() || sched == "round_robin" || sched == "rr") {
     cfg.sched = runtime::SchedPolicy::kRoundRobin;
@@ -268,18 +262,6 @@ int main(int argc, char** argv) {
         static_cast<uint64_t>(module["deadline_us"].as_int(0)) * 1000;
     limits.tenant_weight =
         static_cast<uint32_t>(module["tenant_weight"].as_int(0));
-    const std::string& mod_inst = module["instantiation"].as_string();
-    if (mod_inst == "cold") {
-      limits.instantiation = runtime::InstantiationOverride::kCold;
-    } else if (mod_inst == "pooled") {
-      limits.instantiation = runtime::InstantiationOverride::kPooled;
-    } else if (mod_inst == "snapshot") {
-      limits.instantiation = runtime::InstantiationOverride::kSnapshot;
-    } else if (!mod_inst.empty()) {
-      std::fprintf(stderr, "module %s: unknown instantiation: %s\n",
-                   name.c_str(), mod_inst.c_str());
-      return 1;
-    }
     const std::string& mod_dataplane = module["invoke_dataplane"].as_string();
     if (mod_dataplane == "copy") {
       limits.invoke_dataplane = runtime::InvokeDataplaneOverride::kCopy;

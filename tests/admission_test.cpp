@@ -220,16 +220,52 @@ TEST(SlackPredictorTest, P99TracksOrderStatistic) {
 
 // ---- Dispatcher contracts ----------------------------------------------
 
-class DispatcherContractTest
-    : public ::testing::TestWithParam<DispatchPolicy> {};
+// The five placements Dispatcher::make can build: the three DispatchPolicy
+// structures plus the two FIFO-shard ablations reached through DistPolicy.
+// The first three share their DispatchPolicy values.
+enum class Placement : uint8_t {
+  kWorkStealing,
+  kGlobalEdf,
+  kShardedModule,
+  kGlobalLock,
+  kPerWorker,
+};
+
+std::unique_ptr<Dispatcher> make_dispatcher(Placement p, int workers) {
+  switch (p) {
+    case Placement::kGlobalLock:
+      return Dispatcher::make(DispatchPolicy::kWorkStealing,
+                              DistPolicy::kGlobalLock, workers);
+    case Placement::kPerWorker:
+      return Dispatcher::make(DispatchPolicy::kWorkStealing,
+                              DistPolicy::kPerWorker, workers);
+    default:
+      return Dispatcher::make(static_cast<DispatchPolicy>(p),
+                              DistPolicy::kWorkStealing, workers);
+  }
+}
+
+const auto kAllPlacements = ::testing::Values(
+    Placement::kWorkStealing, Placement::kGlobalEdf, Placement::kShardedModule,
+    Placement::kGlobalLock, Placement::kPerWorker);
+
+std::string placement_name(
+    const ::testing::TestParamInfo<Placement>& info) {
+  switch (info.param) {
+    case Placement::kGlobalLock: return "global_lock";
+    case Placement::kPerWorker: return "per_worker";
+    default: return to_string(static_cast<DispatchPolicy>(info.param));
+  }
+}
+
+class DispatcherContractTest : public ::testing::TestWithParam<Placement> {};
 
 // Every pushed/injected sandbox comes back from exactly one fetch: no loss,
 // no duplication, across all worker indices.
 TEST_P(DispatcherContractTest, NoLossNoDuplication) {
   ASSERT_NE(test_module(), nullptr);
   constexpr int kWorkers = 4;
-  auto d = Dispatcher::make(GetParam(), DistPolicy::kWorkStealing, kWorkers);
-  ASSERT_EQ(d->kind(), GetParam());
+  auto d = make_dispatcher(GetParam(), kWorkers);
 
   int tags[3];  // distinct module identities for the sharded dispatcher
   std::vector<std::unique_ptr<Sandbox>> owned;
@@ -266,13 +302,45 @@ TEST_P(DispatcherContractTest, NoLossNoDuplication) {
   }
 }
 
+// inject() reports true only when the child landed on the hinted worker's
+// own queue: work stealing honors a hint up to its per-worker cap of 16 and
+// then falls back to the shared side entrance; the other placements ignore
+// hints, and an unhinted inject is never a hinted placement. Nothing is lost
+// in any of these cases.
+TEST_P(DispatcherContractTest, InjectReportsHintedPlacement) {
+  ASSERT_NE(test_module(), nullptr);
+  constexpr int kWorkers = 4;
+  const bool honors_hints = GetParam() == Placement::kWorkStealing;
+  auto d = make_dispatcher(GetParam(), kWorkers);
+  int tag = 0;
+  std::vector<std::unique_ptr<Sandbox>> owned;
+  std::set<Sandbox*> expected;
+  for (int i = 0; i < 21; ++i) {
+    auto sb = make_sandbox(1000 + i, &tag);
+    ASSERT_NE(sb, nullptr);
+    expected.insert(sb.get());
+    if (i < 20) {
+      EXPECT_EQ(d->inject(sb.get(), /*worker_hint=*/1), honors_hints && i < 16)
+          << "hinted inject " << i;
+    } else {
+      EXPECT_FALSE(d->inject(sb.get()));
+    }
+    owned.push_back(std::move(sb));
+  }
+
+  std::set<Sandbox*> fetched;
+  for (int w = 0; w < kWorkers; ++w) {
+    Sandbox* sb = nullptr;
+    while (d->fetch(w, &sb)) {
+      EXPECT_TRUE(fetched.insert(sb).second) << "double-fetched sandbox";
+    }
+  }
+  EXPECT_EQ(fetched, expected);
+  EXPECT_EQ(d->backlog_estimate(), 0);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllDispatchers, DispatcherContractTest,
-                         ::testing::Values(DispatchPolicy::kWorkStealing,
-                                           DispatchPolicy::kGlobalEdf,
-                                           DispatchPolicy::kShardedByModule),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param));
-                         });
+                         kAllPlacements, placement_name);
 
 TEST(GlobalEdfDispatcherTest, FetchesInDeadlineOrder) {
   auto d = Dispatcher::make(DispatchPolicy::kGlobalEdf,
@@ -351,7 +419,7 @@ TEST(ShardedDispatcherTest, ModuleAlwaysLandsOnSameWorker) {
 // predictor concurrency with real threads: one listener-like pusher, three
 // worker-side injectors, four fetching workers, 2k sandboxes of mixed
 // deadlines, plus concurrent predictor reads against a recording writer.
-class DispatcherSoakTest : public ::testing::TestWithParam<DispatchPolicy> {};
+class DispatcherSoakTest : public ::testing::TestWithParam<Placement> {};
 
 TEST_P(DispatcherSoakTest, ThreadedBurstNoLossNoDuplication) {
   ASSERT_NE(test_module(), nullptr);
@@ -360,7 +428,7 @@ TEST_P(DispatcherSoakTest, ThreadedBurstNoLossNoDuplication) {
   constexpr int kPerProducer = 500;
   constexpr int kTotal = (1 + kInjectors) * kPerProducer;  // 2000
 
-  auto d = Dispatcher::make(GetParam(), DistPolicy::kWorkStealing, kWorkers);
+  auto d = make_dispatcher(GetParam(), kWorkers);
 
   int tags[7];
   std::mutex owned_mu;
@@ -442,13 +510,8 @@ TEST_P(DispatcherSoakTest, ThreadedBurstNoLossNoDuplication) {
   EXPECT_EQ(d->backlog_estimate(), 0);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllDispatchers, DispatcherSoakTest,
-                         ::testing::Values(DispatchPolicy::kWorkStealing,
-                                           DispatchPolicy::kGlobalEdf,
-                                           DispatchPolicy::kShardedByModule),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param));
-                         });
+INSTANTIATE_TEST_SUITE_P(AllDispatchers, DispatcherSoakTest, kAllPlacements,
+                         placement_name);
 
 }  // namespace
 }  // namespace sledge::runtime

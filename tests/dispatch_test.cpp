@@ -108,8 +108,21 @@ bool recv_response_full(int fd, int* status, std::string* headers,
 
 // ---- Conformance: every dispatcher × every scheduler -------------------
 
+// Per-worker scheduling modes: the two SchedPolicy values, plus FIFO
+// run-to-completion, which is round-robin with the quantum timer off.
+enum class SchedMode : uint8_t { kRoundRobin, kFifo, kEdf };
+
+const char* to_string(SchedMode m) {
+  switch (m) {
+    case SchedMode::kRoundRobin: return "round_robin";
+    case SchedMode::kFifo: return "fifo";
+    case SchedMode::kEdf: return "edf";
+  }
+  return "?";
+}
+
 class DispatchConformanceTest
-    : public ::testing::TestWithParam<std::tuple<DispatchPolicy, SchedPolicy>> {
+    : public ::testing::TestWithParam<std::tuple<DispatchPolicy, SchedMode>> {
 };
 
 // Replays one seeded arrival script over two modules through N concurrent
@@ -121,7 +134,10 @@ TEST_P(DispatchConformanceTest, SeededScriptNoLossNoDuplication) {
   RuntimeConfig cfg;
   cfg.workers = 2;
   cfg.dispatcher = std::get<0>(GetParam());
-  cfg.sched = std::get<1>(GetParam());
+  const SchedMode mode = std::get<1>(GetParam());
+  cfg.sched = mode == SchedMode::kEdf ? SchedPolicy::kEdf
+                                      : SchedPolicy::kRoundRobin;
+  cfg.preemption = mode != SchedMode::kFifo;
   Runtime rt(cfg);
   ASSERT_TRUE(rt.register_module("alpha", compile(kPingSrc)).is_ok());
   ASSERT_TRUE(
@@ -184,9 +200,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(DispatchPolicy::kWorkStealing,
                                          DispatchPolicy::kGlobalEdf,
                                          DispatchPolicy::kShardedByModule),
-                       ::testing::Values(SchedPolicy::kRoundRobin,
-                                         SchedPolicy::kFifoRunToCompletion,
-                                         SchedPolicy::kEdf)),
+                       ::testing::Values(SchedMode::kRoundRobin,
+                                         SchedMode::kFifo, SchedMode::kEdf)),
     [](const auto& info) {
       return std::string(to_string(std::get<0>(info.param))) + "_" +
              to_string(std::get<1>(info.param));
@@ -194,10 +209,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- Global-EDF admit order under a burst -------------------------------
 
-// One worker, FIFO run-to-completion: while a long CPU-bound blocker holds
-// the core, a burst arrives in reverse deadline order. The global-EDF heap
-// must hand them out tightest-deadline-first; the access log records the
-// actual completion order.
+// One worker, FIFO run-to-completion (round-robin with preemption off):
+// while a long CPU-bound blocker holds the core, a burst arrives in reverse
+// deadline order. The global-EDF heap must hand them out
+// tightest-deadline-first; the access log records the actual completion
+// order.
 TEST(GlobalEdfOrderTest, BurstCompletesInDeadlineOrder) {
   std::string log_path = ::testing::TempDir() + "sledge_edf_order.jsonl";
   std::remove(log_path.c_str());
@@ -205,7 +221,7 @@ TEST(GlobalEdfOrderTest, BurstCompletesInDeadlineOrder) {
   RuntimeConfig cfg;
   cfg.workers = 1;
   cfg.dispatcher = DispatchPolicy::kGlobalEdf;
-  cfg.sched = SchedPolicy::kFifoRunToCompletion;
+  cfg.preemption = false;
   cfg.access_log_path = log_path;
   Runtime rt(cfg);
 

@@ -360,18 +360,25 @@ int main() {
   rt.stop();
 }
 
-// Satellite: blocking semantics under every per-worker scheduling policy.
-// FIFO is run-to-completion on CPU but must still yield the core on I/O;
-// EDF reorders runnable peers around blocked ones. In all three, sleepers
-// must not starve quick requests sharing their single worker.
+// Satellite: blocking semantics under every per-worker scheduling mode.
+// FIFO (round-robin with preemption off) is run-to-completion on CPU but
+// must still yield the core on I/O; EDF reorders runnable peers around
+// blocked ones. In all three, sleepers must not starve quick requests
+// sharing their single worker.
 TEST(IoHostTest, BlockedSandboxesYieldUnderEveryPolicy) {
-  for (SchedPolicy sched : {SchedPolicy::kRoundRobin,
-                            SchedPolicy::kFifoRunToCompletion,
-                            SchedPolicy::kEdf}) {
+  const struct {
+    SchedPolicy sched;
+    bool preemption;
+    const char* name;
+  } modes[] = {{SchedPolicy::kRoundRobin, true, "round_robin"},
+               {SchedPolicy::kRoundRobin, false, "fifo"},
+               {SchedPolicy::kEdf, true, "edf"}};
+  for (const auto& mode : modes) {
     RuntimeConfig cfg;
     cfg.workers = 1;
-    cfg.sched = sched;
-    if (sched == SchedPolicy::kEdf) cfg.deadline_ns = 2'000'000'000;
+    cfg.sched = mode.sched;
+    cfg.preemption = mode.preemption;
+    if (mode.sched == SchedPolicy::kEdf) cfg.deadline_ns = 2'000'000'000;
     Runtime rt(cfg);
     ASSERT_TRUE(rt.register_module("sleeper", compile(kSleeperSrc)).is_ok());
     ASSERT_TRUE(rt.register_module("ping", compile(kPingSrc)).is_ok());
@@ -390,12 +397,12 @@ TEST(IoHostTest, BlockedSandboxesYieldUnderEveryPolicy) {
       auto resp = loadgen::single_request("127.0.0.1", rt.bound_port(),
                                           "/ping", {}, &status);
       ASSERT_TRUE(resp.ok()) << resp.error_message();
-      EXPECT_EQ(status, 200) << to_string(sched);
+      EXPECT_EQ(status, 200) << mode.name;
       // Served while the sleeper holds its block — not after it.
-      EXPECT_LT(ns_to_ms(now_ns() - t0), 120.0) << to_string(sched);
+      EXPECT_LT(ns_to_ms(now_ns() - t0), 120.0) << mode.name;
     }
     sleeper.join();
-    EXPECT_EQ(sleeper_status, 200) << to_string(sched);
+    EXPECT_EQ(sleeper_status, 200) << mode.name;
     rt.stop();
   }
 }

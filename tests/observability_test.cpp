@@ -38,6 +38,23 @@ char out[1];
 int main() { out[0] = 112; resp_write(out, 1); return 0; }
 )";
 
+// sb_invoke chain head: forwards to "ping" (zero-copy dataplane by
+// default, so each call loans one transfer buffer).
+const char* kChainSrc = R"(
+char name[4];
+char resp[8];
+int main() {
+  name[0] = 112;  // 'p'
+  name[1] = 105;  // 'i'
+  name[2] = 110;  // 'n'
+  name[3] = 103;  // 'g'
+  int n = sb_invoke(name, 4, resp, 0, resp, 8);
+  if (n < 0) return n;
+  resp_write(resp, n);
+  return 0;
+}
+)";
+
 const char* kSleepSrc = R"(
 char out[1];
 int main() { sleep_ms(5); out[0] = 122; resp_write(out, 1); return 0; }
@@ -209,6 +226,7 @@ TEST(ObservabilityTest, AdminMetricsPrometheusExposition) {
   cfg.workers = 1;
   Runtime rt(cfg);
   ASSERT_TRUE(rt.register_module("ping", compile(kPingSrc)).is_ok());
+  ASSERT_TRUE(rt.register_module("chain", compile(kChainSrc)).is_ok());
   ASSERT_TRUE(rt.start().is_ok());
   for (int i = 0; i < 3; ++i) {
     int status = 0;
@@ -234,9 +252,36 @@ TEST(ObservabilityTest, AdminMetricsPrometheusExposition) {
            "sledge_exec_cpu_seconds_sum{module=\"ping\"}",
            "sledge_response_write_seconds_count{module=\"ping\"} 3",
            "sledge_end_to_end_seconds{module=\"ping\",quantile=\"0.5\"}",
+           "# TYPE sledge_transfer_hits_total counter",
+           "# TYPE sledge_transfer_outstanding gauge",
        }) {
     EXPECT_NE(text.find(needle), std::string::npos) << needle << "\n" << text;
   }
+
+  // Transfer-buffer loans are visible live: a completed chain loaned a
+  // buffer and gave it back, so nothing is outstanding once it is done.
+  int status = 0;
+  auto r = loadgen::single_request("127.0.0.1", rt.bound_port(), "/chain",
+                                   {}, &status);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(status, 200);
+  EXPECT_EQ(std::string(r->begin(), r->end()), "p");
+  json::Value doc;
+  for (int i = 0; i < 100; ++i) {
+    doc = scrape_json(rt.bound_port());
+    if (doc["inflight"].as_int() == 0 &&
+        doc["transfer"]["outstanding"].as_int(-1) == 0) {
+      break;
+    }
+    ::usleep(10000);
+  }
+  const json::Value& xfer = doc["transfer"];
+  EXPECT_GE(xfer["hits"].as_int() + xfer["misses"].as_int(), 1);  // loaned
+  EXPECT_EQ(xfer["outstanding"].as_int(-1), 0);
+  body = loadgen::http_get("127.0.0.1", rt.bound_port(), "/admin/metrics");
+  ASSERT_TRUE(body.ok()) << body.error_message();
+  EXPECT_NE(body->find("sledge_transfer_outstanding 0\n"), std::string::npos)
+      << *body;
   rt.stop();
 }
 
